@@ -29,8 +29,8 @@
 //! shard runs a full [`FusionCore`] behind its own lock, and
 //! snapshots are assembled from per-shard gathers. The greedy dedup
 //! only ever interacts within connected components of the
-//! within-radius graph, so components are computed exactly (grid
-//! hash + union-find) and people seen across a seam — a component
+//! within-radius graph, so components are computed exactly (a sorted
+//! grid + union-find) and people seen across a seam — a component
 //! spanning two shards' observations — are handed off into one
 //! campus-wide merge before dedup. The result is bit-identical to
 //! running the same traffic through a single core, which the replay
@@ -61,6 +61,7 @@ use world::{PoleRegistry, WalkwayConfig};
 use crate::capture::CaptureWriter;
 use crate::checkpoint::{Checkpoint, CheckpointError, SlotCheckpoint};
 use crate::health::{EventJournal, FleetEvent, FleetEventKind, FleetHealth, PoleHealth};
+use crate::json::{push_f64, push_person, push_str, push_u64};
 use crate::reactor::{self, Intake, ReactorConfig, ReactorHandle};
 use crate::sentinel::{Disposition, PoleTrust, Sentinel, SentinelConfig, TrustState};
 use crate::transport::{Transport, TransportError};
@@ -199,65 +200,62 @@ pub struct CampusSnapshot {
     pub p95_silence_ms: f64,
 }
 
-/// Renders an `f64` as a JSON number, or `null` when it is not
-/// finite. `format!("{v:.3}")` happily prints `NaN` and `inf`, which
-/// are not JSON — a poisoned silence percentile must not corrupt the
-/// export stream or the HTTP serving tier that reuses it.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl CampusSnapshot {
     /// One JSONL line for dashboards and the soak bench. Non-finite
     /// values render as `null` so the line stays parseable JSON even
     /// when a derived rate degenerates.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!(
-            "{{\"at_ms\":{},\"occupancy\":{},\"unmapped\":{},\"live\":{},\"stale\":{},\"dead\":{},\"quarantined\":{},\"p95_silence_ms\":{},\"people\":[",
-            json_num(self.at_ms),
-            self.occupancy,
-            self.unmapped,
-            self.live,
-            self.stale,
-            self.dead,
-            self.quarantined,
-            json_num(self.p95_silence_ms)
-        ));
+        let mut out = Vec::with_capacity(256);
+        self.write_json(&mut out);
+        String::from_utf8(out).expect("the JSON writers emit ASCII")
+    }
+
+    /// Appends [`CampusSnapshot::to_json`]'s line (without a newline)
+    /// to `out`, allocating nothing beyond growing `out`.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        push_str(out, "{\"at_ms\":");
+        push_f64(out, self.at_ms);
+        for (key, v) in [
+            (",\"occupancy\":", self.occupancy),
+            (",\"unmapped\":", self.unmapped),
+            (",\"live\":", self.live),
+            (",\"stale\":", self.stale),
+            (",\"dead\":", self.dead),
+            (",\"quarantined\":", self.quarantined),
+        ] {
+            push_str(out, key);
+            push_u64(out, u64::from(v));
+        }
+        push_str(out, ",\"p95_silence_ms\":");
+        push_f64(out, self.p95_silence_ms);
+        push_str(out, ",\"people\":[");
         for (i, p) in self.people.iter().enumerate() {
             if i > 0 {
-                s.push(',');
+                out.push(b',');
             }
-            s.push_str(&format!(
-                "{{\"x\":{},\"y\":{},\"confidence\":{},\"observers\":{:?}}}",
-                json_num(p.x),
-                json_num(p.y),
-                json_num(p.confidence),
-                p.observers
-            ));
+            push_person(out, p, ", ");
         }
-        s.push_str("],\"poles\":[");
+        push_str(out, "],\"poles\":[");
         for (i, p) in self.poles.iter().enumerate() {
             if i > 0 {
-                s.push(',');
+                out.push(b',');
             }
-            s.push_str(&format!(
-                "{{\"pole_id\":{},\"liveness\":\"{}\",\"trust\":\"{}\",\"count\":{},\"seq\":{},\"silence_ms\":{},\"held\":{}}}",
-                p.pole_id,
-                p.liveness.as_str(),
-                p.trust.as_str(),
-                p.count,
-                p.seq,
-                json_num(p.silence_ms),
-                p.held
-            ));
+            push_str(out, "{\"pole_id\":");
+            push_u64(out, u64::from(p.pole_id));
+            push_str(out, ",\"liveness\":\"");
+            push_str(out, p.liveness.as_str());
+            push_str(out, "\",\"trust\":\"");
+            push_str(out, p.trust.as_str());
+            push_str(out, "\",\"count\":");
+            push_u64(out, u64::from(p.count));
+            push_str(out, ",\"seq\":");
+            push_u64(out, p.seq);
+            push_str(out, ",\"silence_ms\":");
+            push_f64(out, p.silence_ms);
+            push_str(out, ",\"held\":");
+            push_str(out, if p.held { "true}" } else { "false}" });
         }
-        s.push_str("]}");
-        s
+        push_str(out, "]}");
     }
 }
 
@@ -643,11 +641,17 @@ impl FusionCore {
     /// still merge.
     pub(crate) fn gather(&self, now: Duration) -> ShardGather {
         let mut poles = Vec::with_capacity(self.slots.len());
-        let mut observations: Vec<Observation> = Vec::new();
+        let clusters = self
+            .slots
+            .values()
+            .filter_map(|slot| slot.report.as_ref())
+            .map(|report| report.clusters.len())
+            .sum();
+        let mut observations: Vec<Observation> = Vec::with_capacity(clusters);
         let mut unmapped = 0u32;
         let (mut live, mut stale, mut dead) = (0u32, 0u32, 0u32);
         let mut quarantined = 0u32;
-        let mut silences: Vec<f64> = Vec::new();
+        let mut silences: Vec<f64> = Vec::with_capacity(self.slots.len());
 
         for (&pole_id, slot) in &self.slots {
             let liveness = self.liveness(slot, now);
@@ -902,9 +906,10 @@ pub(crate) fn assemble_snapshot(
     now: Duration,
     gathers: Vec<ShardGather>,
 ) -> CampusSnapshot {
-    let mut poles = Vec::new();
-    let mut observations: Vec<Observation> = Vec::new();
-    let mut silences: Vec<f64> = Vec::new();
+    let mut poles = Vec::with_capacity(gathers.iter().map(|g| g.poles.len()).sum());
+    let mut observations: Vec<Observation> =
+        Vec::with_capacity(gathers.iter().map(|g| g.observations.len()).sum());
+    let mut silences: Vec<f64> = Vec::with_capacity(gathers.iter().map(|g| g.silences.len()).sum());
     let mut unmapped = 0u32;
     let (mut live, mut stale, mut dead, mut quarantined) = (0u32, 0u32, 0u32, 0u32);
     for g in gathers {
@@ -924,20 +929,19 @@ pub(crate) fn assemble_snapshot(
 
     let people = dedup_people(&observations, cfg.dedup_radius_m);
 
-    let mut zone_counts: BTreeMap<(i32, i32), u32> = BTreeMap::new();
+    // Occupancy grid: sorted zone keys, one run per non-empty zone.
     let zone = cfg.zone_size_m.max(1e-9);
-    for p in &people {
-        let key = ((p.x / zone).floor() as i32, (p.y / zone).floor() as i32);
-        *zone_counts.entry(key).or_insert(0) += 1;
-    }
-    let zones = zone_counts
-        .into_iter()
-        .map(|((zone_x, zone_y), count)| ZoneOccupancy {
-            zone_x,
-            zone_y,
-            count,
-        })
+    let mut keys: Vec<(i32, i32)> = people
+        .iter()
+        .map(|p| ((p.x / zone).floor() as i32, (p.y / zone).floor() as i32))
         .collect();
+    keys.sort_unstable();
+    let mut zones: Vec<ZoneOccupancy> = Vec::with_capacity(keys.chunk_by(|a, b| a == b).count());
+    zones.extend(keys.chunk_by(|a, b| a == b).map(|run| ZoneOccupancy {
+        zone_x: run[0].0,
+        zone_y: run[0].1,
+        count: u32::try_from(run.len()).unwrap_or(u32::MAX),
+    }));
 
     let p95_silence_ms = p95_silence(&mut silences);
 
@@ -983,9 +987,17 @@ pub(crate) fn assemble_snapshot(
 /// per component (members in ascending global order), then stitching
 /// people back in founder order, reproduces the single-core output
 /// bit for bit — no matter how many shards the observations came
-/// from. The components are found with a grid hash (cells one radius
-/// wide, so all edges live within a 3×3 neighbourhood) and a
-/// union-find.
+/// from.
+///
+/// The components come from a grid (cells one radius wide, so every
+/// edge joins a cell to one of its 3×3 neighbours) and a union-find.
+/// The grid is one `(cell, index)` array sorted lexicographically:
+/// its runs are the cells, and because the neighbour cells of the
+/// next row sit in one contiguous span that only moves forward as the
+/// walk does, every lookup is O(1) amortised however the corridor is
+/// oriented. Members are then ordered by `(root, index)` — the roots
+/// are each component's smallest index — so each component is one run
+/// walked in ascending global order.
 fn dedup_people(obs: &[Observation], radius_m: f64) -> Vec<FusedPerson> {
     let n = obs.len();
     if n == 0 {
@@ -995,11 +1007,16 @@ fn dedup_people(obs: &[Observation], radius_m: f64) -> Vec<FusedPerson> {
     let radius2 = radius * radius;
     let cell = radius.max(1e-9);
 
-    let mut bins: BTreeMap<(i64, i64), Vec<usize>> = BTreeMap::new();
-    for (i, o) in obs.iter().enumerate() {
-        let key = ((o.x / cell).floor() as i64, (o.y / cell).floor() as i64);
-        bins.entry(key).or_default().push(i);
-    }
+    // Saturating float→int casts keep far-out (or non-finite)
+    // coordinates on the grid's edge cells; the distance check still
+    // guards every union, so such aliasing costs only comparisons.
+    let cell_of = |o: &Observation| ((o.x / cell).floor() as i64, (o.y / cell).floor() as i64);
+    let mut grid: Vec<((i64, i64), usize)> = obs
+        .iter()
+        .enumerate()
+        .map(|(i, o)| (cell_of(o), i))
+        .collect();
+    grid.sort_unstable();
 
     fn find(parent: &mut [usize], mut i: usize) -> usize {
         while parent[i] != i {
@@ -1009,70 +1026,107 @@ fn dedup_people(obs: &[Observation], radius_m: f64) -> Vec<FusedPerson> {
         i
     }
     let mut parent: Vec<usize> = (0..n).collect();
-    for (&(cx, cy), members) in &bins {
-        for dx in -1i64..=1 {
-            for dy in -1i64..=1 {
-                // Saturating keys can alias at the numeric edge; the
-                // distance check below still guards every union, so
-                // aliasing only costs comparisons, never correctness.
-                let key = (cx.saturating_add(dx), cy.saturating_add(dy));
-                let Some(others) = bins.get(&key) else {
-                    continue;
-                };
-                for &i in members {
-                    for &j in others {
-                        if j <= i {
-                            continue;
-                        }
-                        let ddx = obs[i].x - obs[j].x;
-                        let ddy = obs[i].y - obs[j].y;
-                        if ddx * ddx + ddy * ddy <= radius2 {
-                            let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                            if ri != rj {
-                                parent[ri.max(rj)] = ri.min(rj);
-                            }
-                        }
+    // Unions every within-radius pair across two cell runs (`same`:
+    // the runs are one cell, so each pair is visited once). Linking
+    // the larger root under the smaller keeps every root its
+    // component's smallest index.
+    let mut link = |a: &[((i64, i64), usize)], b: &[((i64, i64), usize)], same: bool| {
+        for (k, &(_, i)) in a.iter().enumerate() {
+            let others = if same { &b[k + 1..] } else { b };
+            for &(_, j) in others {
+                let dx = obs[i].x - obs[j].x;
+                let dy = obs[i].y - obs[j].y;
+                if dx * dx + dy * dy <= radius2 {
+                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                    if ri != rj {
+                        parent[ri.max(rj)] = ri.min(rj);
                     }
                 }
             }
         }
+    };
+    let run_end = |from: usize| {
+        let key = grid[from].0;
+        from + grid[from..].iter().take_while(|g| g.0 == key).count()
+    };
+    // Each cell links to itself and the half-neighbourhood after it
+    // in sort order — (x, y+1) and (x+1, y-1..=y+1); the other half
+    // links back from those cells' own turns.
+    let mut next_row = 0usize;
+    let mut start = 0usize;
+    while start < n {
+        let end = run_end(start);
+        let (cx, cy) = grid[start].0;
+        let here = &grid[start..end];
+        link(here, here, true);
+        if end < n && Some(grid[end].0) == cy.checked_add(1).map(|y| (cx, y)) {
+            link(here, &grid[end..run_end(end)], false);
+        }
+        if let Some(nx) = cx.checked_add(1) {
+            let lo = (nx, cy.saturating_sub(1));
+            let hi = (nx, cy.saturating_add(1));
+            while next_row < n && grid[next_row].0 < lo {
+                next_row += 1;
+            }
+            let span = grid[next_row..].iter().take_while(|g| g.0 <= hi).count();
+            link(here, &grid[next_row..next_row + span], false);
+        }
+        start = end;
     }
 
-    let mut components: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for i in 0..n {
-        components.entry(find(&mut parent, i)).or_default().push(i);
-    }
+    let mut members: Vec<(usize, usize)> = (0..n).map(|i| (find(&mut parent, i), i)).collect();
+    members.sort_unstable();
 
-    let mut founded: Vec<(usize, FusedPerson)> = Vec::with_capacity(components.len());
-    for members in components.into_values() {
-        let start = founded.len();
-        'member: for &i in &members {
-            let o = &obs[i];
-            for (_, person) in &mut founded[start..] {
+    // `founded[p]` is `(founding index, person)`; `joined[k]` the
+    // person member `k` merged into. Observer lists are built after
+    // each component's walk, sized exactly, so a person costs one
+    // allocation.
+    let mut founded: Vec<(usize, FusedPerson)> = Vec::with_capacity(n);
+    let mut joined: Vec<usize> = vec![0; n];
+    let mut observers: Vec<u32> = Vec::new();
+    let mut start = 0usize;
+    while start < n {
+        let root = members[start].0;
+        let end = start + members[start..].iter().take_while(|m| m.0 == root).count();
+        let first = founded.len();
+        'member: for k in start..end {
+            let o = &obs[members[k].1];
+            for (p, (_, person)) in founded.iter_mut().enumerate().skip(first) {
                 let dx = o.x - person.x;
                 let dy = o.y - person.y;
                 if dx * dx + dy * dy <= radius2 {
-                    if !person.observers.contains(&o.pole_id) {
-                        person.observers.push(o.pole_id);
-                    }
                     person.confidence = person.confidence.max(o.confidence);
+                    joined[k] = p;
                     continue 'member;
                 }
             }
+            joined[k] = founded.len();
             founded.push((
-                i,
+                members[k].1,
                 FusedPerson {
                     x: o.x,
                     y: o.y,
                     confidence: o.confidence,
-                    observers: vec![o.pole_id],
+                    observers: Vec::new(),
                 },
             ));
         }
+        // Observers in walk order (founder first), each pole once.
+        for (p, (_, person)) in founded.iter_mut().enumerate().skip(first) {
+            observers.clear();
+            for k in start..end {
+                let pole_id = obs[members[k].1].pole_id;
+                if joined[k] == p && !observers.contains(&pole_id) {
+                    observers.push(pole_id);
+                }
+            }
+            person.observers = observers.clone();
+        }
+        start = end;
     }
     // People surface in founding order — the order the single-core
     // greedy walk would have created them in.
-    founded.sort_by_key(|&(founder, _)| founder);
+    founded.sort_unstable_by_key(|&(founder, _)| founder);
     founded.into_iter().map(|(_, p)| p).collect()
 }
 
@@ -2386,8 +2440,8 @@ mod tests {
     #[test]
     fn to_json_survives_non_finite_derived_rates() {
         // Regression: `format!("{v:.3}")` happily prints `NaN` and
-        // `inf`, which are not JSON. Before `json_num` this test
-        // failed — a poisoned silence percentile corrupted the export
+        // `inf`, which are not JSON. Before non-finite values rendered
+        // as `null` this test failed — a poisoned silence percentile corrupted the export
         // stream and every HTTP reader downstream of it.
         let snap = CampusSnapshot {
             at_ms: f64::NAN,
@@ -2500,5 +2554,149 @@ mod tests {
             cell.publish(Arc::new(CampusSnapshot::default()));
         }
         assert_eq!(*rec.0.lock().unwrap(), vec![1, 2, 3]);
+    }
+
+    /// Records when each publish landed.
+    #[derive(Default)]
+    struct PublishTimes(std::sync::Mutex<Vec<std::time::Instant>>);
+
+    impl PublishHook for PublishTimes {
+        fn on_publish(&self, _epoch: u64) {
+            self.0.lock().unwrap().push(std::time::Instant::now());
+        }
+    }
+
+    fn aggregator_with_publish_times() -> (Aggregator, Arc<PublishTimes>) {
+        let agg = Aggregator::with_core(core(&ManualClock::new()), AggregatorConfig::default());
+        let times = Arc::new(PublishTimes::default());
+        agg.snapshot_cell()
+            .add_hook(Arc::clone(&times) as Arc<dyn PublishHook>);
+        (agg, times)
+    }
+
+    #[test]
+    fn reactor_keeps_its_cadence_alone() {
+        let (agg, times) = aggregator_with_publish_times();
+        let reactor = agg.spawn_reactor();
+        std::thread::sleep(Duration::from_millis(1_300));
+        agg.stop();
+        reactor.join();
+        let times = times.0.lock().unwrap();
+        assert!(
+            (3..=5).contains(&times.len()),
+            "{} publishes in 1.3 s at a 250 ms cadence",
+            times.len()
+        );
+        for pair in times.windows(2) {
+            assert!(pair[1] - pair[0] >= Duration::from_millis(250));
+        }
+    }
+
+    /// The historical single-core dedup: every observation, in order,
+    /// against every person founded so far. O(n²), kept as the oracle
+    /// for the grid decomposition.
+    fn greedy_reference(obs: &[Observation], radius_m: f64) -> Vec<FusedPerson> {
+        let radius = radius_m.max(0.0);
+        let radius2 = radius * radius;
+        let mut people: Vec<FusedPerson> = Vec::new();
+        'obs: for o in obs {
+            for person in &mut people {
+                let dx = o.x - person.x;
+                let dy = o.y - person.y;
+                if dx * dx + dy * dy <= radius2 {
+                    if !person.observers.contains(&o.pole_id) {
+                        person.observers.push(o.pole_id);
+                    }
+                    person.confidence = person.confidence.max(o.confidence);
+                    continue 'obs;
+                }
+            }
+            people.push(FusedPerson {
+                x: o.x,
+                y: o.y,
+                confidence: o.confidence,
+                observers: vec![o.pole_id],
+            });
+        }
+        people
+    }
+
+    fn bits(people: &[FusedPerson]) -> Vec<(u64, u64, u64, Vec<u32>)> {
+        people
+            .iter()
+            .map(|p| {
+                (
+                    p.x.to_bits(),
+                    p.y.to_bits(),
+                    p.confidence.to_bits(),
+                    p.observers.clone(),
+                )
+            })
+            .collect()
+    }
+
+    /// `((variant, along, across), (pole, frac, confidence))`.
+    type CorridorDraw = ((u32, u32, u32), (u32, f64, f64));
+
+    /// Observations along a corridor, one per [`CorridorDraw`]; lattice
+    /// steps are a quarter radius, so lattice points sit on cell edges
+    /// and many pairs are exactly one radius apart. Variants: 0 lattice point, 1 point
+    /// off the lattice, 2 coincident with the previous observation,
+    /// 3 the previous observation moved exactly one radius along the
+    /// corridor.
+    fn corridor_obs(draws: &[CorridorDraw], radius: f64, layout: u32) -> Vec<Observation> {
+        let step = radius / 4.0;
+        let place = |along: f64, across: f64| match layout {
+            0 => (along, across),
+            1 => (across, along),
+            _ => (along + across, along - across),
+        };
+        let mut out: Vec<Observation> = Vec::with_capacity(draws.len());
+        for &((variant, along, across), (pole_id, frac, confidence)) in draws {
+            let (along, across) = (f64::from(along) * step, f64::from(across) * step);
+            let prev = out.last().map(|o: &Observation| (o.x, o.y));
+            let (x, y) = match (variant, prev) {
+                (1, _) => place(along + frac * step, across - frac * step),
+                (2, Some(p)) => p,
+                (3, Some((x, y))) => match layout {
+                    0 => (x + radius, y),
+                    1 => (x, y + radius),
+                    _ => (x + radius, y + radius),
+                },
+                _ => place(along, across),
+            };
+            out.push(Observation {
+                pole_id,
+                x,
+                y,
+                confidence,
+            });
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(400))]
+
+        /// The grid-and-union-find dedup is bit-identical to the
+        /// O(n²) greedy walk on x-aligned, y-aligned and diagonal
+        /// corridors, with coincident points, points on cell edges
+        /// and pairs exactly one radius apart.
+        #[test]
+        fn dedup_matches_the_quadratic_greedy_walk(
+            draws in proptest::collection::vec(
+                ((0u32..4, 0u32..240, 0u32..12), (0u32..8, 0.0f64..1.0, 0.0f64..1.0)),
+                0..160,
+            ),
+            radius_pick in 0usize..5,
+            layout in 0u32..3,
+        ) {
+            let radius = [0.75, 0.3, 1.0, 2.5, 0.0][radius_pick];
+            let obs = corridor_obs(&draws, radius, layout);
+            proptest::prop_assert_eq!(
+                bits(&dedup_people(&obs, radius)),
+                bits(&greedy_reference(&obs, radius))
+            );
+        }
     }
 }

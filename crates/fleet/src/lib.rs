@@ -55,6 +55,7 @@ pub mod aggregator;
 pub mod capture;
 pub mod checkpoint;
 pub mod health;
+pub mod json;
 pub mod reactor;
 pub mod sentinel;
 // The vendored dependency set has no `libc`, so the one syscall the

@@ -2,9 +2,12 @@
 //! state, independent of any socket.
 //!
 //! [`ServeCore`] owns everything a request needs — the current
-//! snapshot and its pre-rendered JSON body, a short deque of retained
+//! snapshot and its cached JSON body, a short deque of retained
 //! epochs for `/delta` diffs, the [`HistoryRing`] — and writes
 //! responses straight into a [`Connection`]'s reusable output buffer.
+//! A publish only installs the snapshot; the full `/snapshot` body is
+//! rendered by the first full read of the epoch, so parked `/delta`
+//! polls never wait behind it and an unread epoch costs no render.
 //! The server pump (`server.rs`) feeds it socket bytes; tests and the
 //! allocation pin drive it directly, which is what keeps the hot path
 //! auditable: one call, no threads, no I/O.
@@ -14,10 +17,12 @@
 //! it by exactly one, so `If-None-Match: "<seq>"` turns an unchanged
 //! poll into a ~100-byte 304 that touches no snapshot data at all.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
+use fleet::json::{push_f64, push_i64, push_person, push_str, push_u64};
 use fleet::{CampusSnapshot, FusedPerson};
 use obs::{Counter, Histogram, Registry, TelemetrySnapshot};
 
@@ -129,6 +134,13 @@ impl ServeMetrics {
     }
 }
 
+/// Unflushed output past which a connection stops being read and its
+/// buffered pipelined requests stop being answered, until a flush
+/// brings it back under. Bounds a connection's output buffer at this
+/// plus one response, however many requests a client pipelines
+/// without reading the answers.
+pub const OUT_HIGH_WATER: usize = 256 * 1024;
+
 /// A parked `/delta` long-poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parked {
@@ -182,6 +194,13 @@ impl Connection {
         !self.inbuf.is_empty() && self.parked.is_none()
     }
 
+    /// Whether unflushed output is at [`OUT_HIGH_WATER`]: the owner
+    /// should stop reading until a flush drains it, then call
+    /// [`ServeCore::drain`] to answer what is still buffered.
+    pub fn backpressured(&self) -> bool {
+        self.out.len() >= OUT_HIGH_WATER
+    }
+
     /// Buffered input bytes (bounded-memory assertions in tests).
     pub fn buffered(&self) -> usize {
         self.inbuf.len()
@@ -204,12 +223,21 @@ pub struct ServeCore {
     metrics: ServeMetrics,
     seq: u64,
     snap: Arc<CampusSnapshot>,
-    /// `{"seq":N,"campus":{…}}`, rendered once per publish.
+    /// `{"seq":N,"campus":{…}}`, rendered by the first full read of
+    /// an epoch into this persistent buffer.
     snapshot_body: Vec<u8>,
+    /// The seq `snapshot_body` currently holds, if any.
+    body_seq: Option<u64>,
     retained: VecDeque<(u64, Arc<CampusSnapshot>)>,
     ring: HistoryRing,
     /// Reusable body scratch for endpoints rendered per request.
     scratch: Vec<u8>,
+    /// `/delta` diff scratch: person indices of the base and current
+    /// snapshots, and which of them the answer lists.
+    delta_base: Vec<usize>,
+    delta_cur: Vec<usize>,
+    removed: Vec<bool>,
+    added: Vec<bool>,
 }
 
 impl ServeCore {
@@ -220,10 +248,15 @@ impl ServeCore {
             metrics,
             seq: 0,
             snap: Arc::new(CampusSnapshot::default()),
-            snapshot_body: render_snapshot_body(0, &CampusSnapshot::default()),
+            snapshot_body: Vec::new(),
+            body_seq: None,
             retained: VecDeque::new(),
             ring: HistoryRing::new(cfg.history_cap),
             scratch: Vec::new(),
+            delta_base: Vec::new(),
+            delta_cur: Vec::new(),
+            removed: Vec::new(),
+            added: Vec::new(),
         }
     }
 
@@ -237,22 +270,21 @@ impl ServeCore {
         &self.metrics
     }
 
-    /// Installs a newly published snapshot: re-renders the cached
-    /// body, retains the epoch for `/delta`, and feeds the history
-    /// ring. Parked long-polls should be [`ServeCore::unpark`]ed
-    /// after this.
+    /// Installs a newly published snapshot: retains the epoch for
+    /// `/delta` and feeds the history ring. Renders nothing — the
+    /// `/snapshot` body waits for its first reader. Parked long-polls
+    /// should be [`ServeCore::unpark`]ed after this.
     pub fn on_publish(&mut self, seq: u64, snap: Arc<CampusSnapshot>) {
         if seq <= self.seq {
             return; // stale or duplicate publish notification
         }
         self.seq = seq;
-        self.snapshot_body = render_snapshot_body(seq, &snap);
         self.ring
             .push(snap.at_ms, snap.occupancy, snap.people.len() as u32, seq);
-        self.retained.push_back((seq, Arc::clone(&snap)));
-        while self.retained.len() > self.cfg.retain_epochs.max(1) {
+        while self.retained.len() >= self.cfg.retain_epochs.max(1) {
             self.retained.pop_front();
         }
+        self.retained.push_back((seq, Arc::clone(&snap)));
         self.snap = snap;
         self.metrics.publishes.add(1);
     }
@@ -275,6 +307,10 @@ impl ServeCore {
         }
         let mut pos = 0usize;
         let status = loop {
+            if conn.backpressured() {
+                // The rest stays buffered until the owner flushes.
+                break ConnStatus::Open;
+            }
             let started = Instant::now();
             match parse_request(&conn.inbuf[pos..], &self.cfg.limits) {
                 ParseStep::Incomplete => break ConnStatus::Open,
@@ -364,8 +400,18 @@ impl ServeCore {
                     write_response(out, 304, Some(self.seq), "", b"", req.close);
                     self.metrics.r304.add(1);
                 } else {
-                    // The body is rendered once per publish; serving
-                    // it is a header write plus one memcpy.
+                    // The first full read of an epoch renders the
+                    // body; every later one is a header write plus
+                    // one memcpy.
+                    if self.body_seq != Some(self.seq) {
+                        self.snapshot_body.clear();
+                        push_str(&mut self.snapshot_body, "{\"seq\":");
+                        push_u64(&mut self.snapshot_body, self.seq);
+                        push_str(&mut self.snapshot_body, ",\"campus\":");
+                        self.snap.write_json(&mut self.snapshot_body);
+                        self.snapshot_body.push(b'}');
+                        self.body_seq = Some(self.seq);
+                    }
                     let body = std::mem::take(&mut self.snapshot_body);
                     write_response(
                         out,
@@ -520,7 +566,7 @@ impl ServeCore {
                     self.scratch.push(b',');
                 }
                 first = false;
-                push_person(&mut self.scratch, p);
+                push_person(&mut self.scratch, p, ",");
             }
         }
         push_str(&mut self.scratch, "]}");
@@ -561,7 +607,7 @@ impl ServeCore {
                     self.scratch.push(b',');
                 }
                 first = false;
-                push_person(&mut self.scratch, p);
+                push_person(&mut self.scratch, p, ",");
             }
         }
         push_str(&mut self.scratch, "]}");
@@ -643,73 +689,108 @@ impl ServeCore {
                         self.scratch.push(b',');
                     }
                     first = false;
-                    push_person(&mut self.scratch, p);
+                    push_person(&mut self.scratch, p, ",");
                 }
                 push_str(&mut self.scratch, "]}");
                 return;
             }
         };
-        // Multiset diff on exact person identity (bit-level position,
-        // confidence, observer set): a person counts as "changed"
-        // exactly once however many epochs apart the two views are.
-        let mut counts: BTreeMap<PersonKey, u32> = BTreeMap::new();
-        for p in &base.people {
-            *counts.entry(PersonKey::of(p)).or_insert(0) += 1;
-        }
         let cur = Arc::clone(&self.snap);
+        self.mark_changes(&base.people, &cur.people);
         push_str(&mut self.scratch, ",\"reset\":false,\"added\":[");
-        let mut first = true;
-        for p in &cur.people {
-            let key = PersonKey::of(p);
-            match counts.get_mut(&key) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => {
-                    if !first {
-                        self.scratch.push(b',');
-                    }
-                    first = false;
-                    push_person(&mut self.scratch, p);
-                }
-            }
-        }
+        push_marked(&mut self.scratch, &cur.people, &self.added);
         push_str(&mut self.scratch, "],\"removed\":[");
-        let mut first = true;
-        for p in &base.people {
-            let key = PersonKey::of(p);
-            if let Some(n) = counts.get_mut(&key) {
-                if *n > 0 {
-                    *n -= 1;
-                    if !first {
-                        self.scratch.push(b',');
-                    }
-                    first = false;
-                    push_person(&mut self.scratch, p);
-                }
-            }
-        }
+        push_marked(&mut self.scratch, &base.people, &self.removed);
         push_str(&mut self.scratch, "]}");
+    }
+
+    /// Multiset diff on exact person identity (bit-level position,
+    /// confidence, observer set): a person counts as "changed"
+    /// exactly once however many epochs apart the two views are.
+    /// Where a person occurs `b` times in `base` and `c` times in
+    /// `cur`, the first `b − min(b, c)` base occurrences are marked
+    /// removed and the last `c − min(b, c)` current ones added.
+    /// Both sides are index arrays sorted by identity in persistent
+    /// scratch, merged run by run: nothing is cloned or allocated
+    /// once the scratch has grown.
+    fn mark_changes(&mut self, base: &[FusedPerson], cur: &[FusedPerson]) {
+        let ServeCore {
+            delta_base,
+            delta_cur,
+            removed,
+            added,
+            ..
+        } = self;
+        sort_by_identity(delta_base, base);
+        sort_by_identity(delta_cur, cur);
+        removed.clear();
+        removed.resize(base.len(), false);
+        added.clear();
+        added.resize(cur.len(), false);
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < delta_base.len() || j < delta_cur.len() {
+            let order = match (delta_base.get(i), delta_cur.get(j)) {
+                (Some(&b), Some(&c)) => identity_cmp(&base[b], &cur[c]),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let nb = if order.is_le() {
+                run_len(&delta_base[i..], base)
+            } else {
+                0
+            };
+            let nc = if order.is_ge() {
+                run_len(&delta_cur[j..], cur)
+            } else {
+                0
+            };
+            let kept = nb.min(nc);
+            for &b in &delta_base[i..i + nb - kept] {
+                removed[b] = true;
+            }
+            for &c in &delta_cur[j + kept..j + nc] {
+                added[c] = true;
+            }
+            i += nb;
+            j += nc;
+        }
     }
 }
 
-/// Exact identity of a fused person for delta diffs: bitwise position
-/// and confidence plus the observer set. Fusion is deterministic, so
-/// an unchanged person reproduces these bits across epochs.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct PersonKey {
-    x: u64,
-    y: u64,
-    confidence: u64,
-    observers: Vec<u32>,
+/// Total order on exact person identity; equal means the same bits.
+fn identity_cmp(a: &FusedPerson, b: &FusedPerson) -> Ordering {
+    (a.x.to_bits(), a.y.to_bits(), a.confidence.to_bits())
+        .cmp(&(b.x.to_bits(), b.y.to_bits(), b.confidence.to_bits()))
+        .then_with(|| a.observers.cmp(&b.observers))
 }
 
-impl PersonKey {
-    fn of(p: &FusedPerson) -> PersonKey {
-        PersonKey {
-            x: p.x.to_bits(),
-            y: p.y.to_bits(),
-            confidence: p.confidence.to_bits(),
-            observers: p.observers.clone(),
+/// Fills `idx` with `0..people.len()` sorted by identity, ties by
+/// index (so equal people keep their snapshot order).
+fn sort_by_identity(idx: &mut Vec<usize>, people: &[FusedPerson]) {
+    idx.clear();
+    idx.extend(0..people.len());
+    idx.sort_unstable_by(|&a, &b| identity_cmp(&people[a], &people[b]).then(a.cmp(&b)));
+}
+
+/// How many leading entries of `idx` name people identical to the
+/// first.
+fn run_len(idx: &[usize], people: &[FusedPerson]) -> usize {
+    let first = &people[idx[0]];
+    idx.iter()
+        .take_while(|&&k| identity_cmp(&people[k], first).is_eq())
+        .count()
+}
+
+/// Appends the marked people as comma-separated JSON objects, in
+/// snapshot order.
+fn push_marked(out: &mut Vec<u8>, people: &[FusedPerson], marks: &[bool]) {
+    let mut first = true;
+    for (p, _) in people.iter().zip(marks).filter(|(_, &m)| m) {
+        if !first {
+            out.push(b',');
         }
+        first = false;
+        push_person(out, p, ",");
     }
 }
 
@@ -719,74 +800,6 @@ GET /zone/{x},{y}        one occupancy-grid cell and its people\n\
 GET /pole/{id}           one pole's status row and observed people\n\
 GET /delta?since=N       people changes since seq N (long-polls until next publish)\n\
 GET /history?res=1s|10s|1m  downsampled occupancy time series\n";
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[i..]);
-}
-
-fn push_i64(out: &mut Vec<u8>, v: i64) {
-    if v < 0 {
-        out.push(b'-');
-        push_u64(out, v.unsigned_abs());
-    } else {
-        push_u64(out, v as u64);
-    }
-}
-
-/// JSON number with 3 decimals; non-finite renders as `null` (same
-/// contract as `CampusSnapshot::to_json`). `core::fmt` float
-/// rendering uses stack buffers only, so this stays alloc-free.
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    use std::io::Write;
-    if v.is_finite() {
-        let _ = write!(out, "{v:.3}");
-    } else {
-        out.extend_from_slice(b"null");
-    }
-}
-
-fn push_person(out: &mut Vec<u8>, p: &FusedPerson) {
-    push_str(out, "{\"x\":");
-    push_f64(out, p.x);
-    push_str(out, ",\"y\":");
-    push_f64(out, p.y);
-    push_str(out, ",\"confidence\":");
-    push_f64(out, p.confidence);
-    push_str(out, ",\"observers\":[");
-    for (i, o) in p.observers.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_u64(out, u64::from(*o));
-    }
-    push_str(out, "]}");
-}
-
-/// The cached `/snapshot` body: the campus JSONL line wrapped with
-/// its publish seq.
-fn render_snapshot_body(seq: u64, snap: &CampusSnapshot) -> Vec<u8> {
-    let mut body = Vec::with_capacity(256);
-    push_str(&mut body, "{\"seq\":");
-    push_u64(&mut body, seq);
-    push_str(&mut body, ",\"campus\":");
-    push_str(&mut body, &snap.to_json());
-    push_str(&mut body, "}");
-    body
-}
 
 fn parse_zone_id(rest: &str) -> Option<(i32, i32)> {
     let (x, y) = rest.split_once(',')?;

@@ -32,7 +32,9 @@ pub mod http;
 pub mod ring;
 mod server;
 
-pub use crate::core::{ConnStatus, Connection, Parked, ServeConfig, ServeCore, ServeMetrics};
+pub use crate::core::{
+    ConnStatus, Connection, Parked, ServeConfig, ServeCore, ServeMetrics, OUT_HIGH_WATER,
+};
 pub use crate::http::{HttpLimits, ParseStep, Request};
 pub use crate::ring::{tier_index, Bucket, HistoryRing, TIER_LABELS, TIER_RES_MS};
 pub use crate::server::HttpServer;

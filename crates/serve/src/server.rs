@@ -14,7 +14,9 @@
 //! Slow and hostile clients are bounded on every axis: request heads
 //! are size-capped (`431`), a dribbled head hits the read deadline
 //! (`408`), idle keep-alives are reaped, partially flushed responses
-//! wait on `POLLOUT` without blocking anyone else, a closing
+//! wait on `POLLOUT` without blocking anyone else, a connection whose
+//! unflushed answers pass [`OUT_HIGH_WATER`](crate::OUT_HIGH_WATER) is not read (nor its
+//! pipelined requests answered) until it drains, a closing
 //! connection whose peer stops reading hits a write deadline instead
 //! of holding its fd forever, and the accept loop stops at
 //! `max_conns`.
@@ -184,6 +186,53 @@ impl Drop for HttpServer {
     }
 }
 
+impl ConnState {
+    /// Writes pending output until the socket would block.
+    fn flush(&mut self, now: Instant) {
+        while !self.conn.out.is_empty() {
+            match self.stream.write(&self.conn.out) {
+                Ok(0) => {
+                    self.status = ConnStatus::Close;
+                    self.conn.out.clear();
+                    break;
+                }
+                Ok(n) => {
+                    self.conn.out.drain(..n);
+                    self.last_activity = now;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.status = ConnStatus::Close;
+                    self.conn.out.clear();
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Deadline bookkeeping after the core answered buffered input:
+    /// a parked poll gets its wait deadline, a partial head starts
+    /// the read deadline. Requests held back by backpressure are not
+    /// a slow client, so they start no read deadline.
+    fn note_answered(&mut self, now: Instant) {
+        match self.status {
+            ConnStatus::Parked => {
+                let wait = self.conn.parked().map_or(0, |p| p.wait_ms);
+                self.park_deadline = Some(now + Duration::from_millis(wait));
+                self.read_started = None;
+            }
+            _ => {
+                self.read_started = if self.conn.mid_request() && !self.conn.backpressured() {
+                    Some(self.read_started.unwrap_or(now))
+                } else {
+                    None
+                };
+            }
+        }
+    }
+}
+
 struct Pump {
     listener: TcpListener,
     cell: Arc<SnapshotCell>,
@@ -257,7 +306,11 @@ impl Pump {
             revents: 0,
         });
         for c in &self.conns {
-            let mut events = fleet::sys::POLLIN;
+            let mut events = if c.conn.backpressured() {
+                0
+            } else {
+                fleet::sys::POLLIN
+            };
             if !c.conn.out.is_empty() {
                 events |= fleet::sys::POLLOUT;
             }
@@ -316,6 +369,11 @@ impl Pump {
     fn read_conn(&mut self, idx: usize, now: Instant, buf: &mut [u8]) {
         let c = &mut self.conns[idx];
         loop {
+            if c.status == ConnStatus::Open && c.conn.backpressured() {
+                // Leave the rest in the socket until a flush drains
+                // the answers already owed.
+                return;
+            }
             match c.stream.read(buf) {
                 Ok(0) => {
                     // Peer closed. A parked long-poll just goes away;
@@ -342,20 +400,7 @@ impl Pump {
                         continue;
                     }
                     c.status = self.core.on_bytes(&mut c.conn, &buf[..n]);
-                    match c.status {
-                        ConnStatus::Parked => {
-                            let wait = c.conn.parked().map_or(0, |p| p.wait_ms);
-                            c.park_deadline = Some(now + Duration::from_millis(wait));
-                            c.read_started = None;
-                        }
-                        _ => {
-                            c.read_started = if c.conn.mid_request() {
-                                Some(c.read_started.unwrap_or(now))
-                            } else {
-                                None
-                            };
-                        }
-                    }
+                    c.note_answered(now);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -405,26 +450,22 @@ impl Pump {
         }
     }
 
+    /// Writes every connection's pending output, and answers the
+    /// pipelined requests a backpressured connection left buffered
+    /// once its output is back under [`OUT_HIGH_WATER`](crate::OUT_HIGH_WATER).
     fn flush_all(&mut self, now: Instant) {
         for c in &mut self.conns {
-            while !c.conn.out.is_empty() {
-                match c.stream.write(&c.conn.out) {
-                    Ok(0) => {
-                        c.status = ConnStatus::Close;
-                        c.conn.out.clear();
-                        break;
-                    }
-                    Ok(n) => {
-                        c.conn.out.drain(..n);
-                        c.last_activity = now;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        c.status = ConnStatus::Close;
-                        c.conn.out.clear();
-                        break;
-                    }
+            loop {
+                c.flush(now);
+                if c.status != ConnStatus::Open || c.conn.backpressured() || c.conn.buffered() == 0
+                {
+                    break;
+                }
+                let before = c.conn.out.len();
+                c.status = self.core.drain(&mut c.conn);
+                c.note_answered(now);
+                if c.conn.out.len() == before {
+                    break; // only a partial head is buffered
                 }
             }
         }

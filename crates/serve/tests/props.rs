@@ -11,7 +11,7 @@
 //!    multiset exactly: nothing skipped, nothing duplicated, for any
 //!    `since` inside the retained window.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use fleet::{CampusSnapshot, FusedPerson};
@@ -205,5 +205,100 @@ proptest! {
         prop_assert!(resp.contains("\"reset\":true"), "{}", resp);
         let people_at = resp.find("\"people\":[").unwrap();
         prop_assert_eq!(&ids_in(&resp[people_at..]), epochs.last().unwrap());
+    }
+}
+
+/// A person drawn from a small pool, so snapshots repeat people: the
+/// id sets `x`, and two variant bits change only the confidence or
+/// the observer list (identities that differ in one field).
+fn pooled(draw: (u8, u8)) -> FusedPerson {
+    let (id, variant) = draw;
+    let id = u32::from(id);
+    FusedPerson {
+        x: f64::from(id),
+        y: 0.5,
+        confidence: if variant & 1 == 0 { 0.9 } else { 0.8 },
+        observers: if variant & 2 == 0 {
+            vec![id]
+        } else {
+            vec![id, id + 1]
+        },
+    }
+}
+
+/// The multiset diff as a per-request `BTreeMap` of cloned keys
+/// (how `/delta` was first computed), rendered as the `added` and
+/// `removed` arrays' contents.
+fn reference_delta(base: &[FusedPerson], cur: &[FusedPerson]) -> (String, String) {
+    type Key = (u64, u64, u64, Vec<u32>);
+    let key = |p: &FusedPerson| -> Key {
+        (
+            p.x.to_bits(),
+            p.y.to_bits(),
+            p.confidence.to_bits(),
+            p.observers.clone(),
+        )
+    };
+    let mut counts: BTreeMap<Key, u32> = BTreeMap::new();
+    for p in base {
+        *counts.entry(key(p)).or_insert(0) += 1;
+    }
+    let push = |out: &mut Vec<u8>, p: &FusedPerson| {
+        if !out.is_empty() {
+            out.push(b',');
+        }
+        fleet::json::push_person(out, p, ",");
+    };
+    let mut added = Vec::new();
+    for p in cur {
+        match counts.get_mut(&key(p)) {
+            Some(n) if *n > 0 => *n -= 1,
+            _ => push(&mut added, p),
+        }
+    }
+    let mut removed = Vec::new();
+    for p in base {
+        if let Some(n) = counts.get_mut(&key(p)) {
+            if *n > 0 {
+                *n -= 1;
+                push(&mut removed, p);
+            }
+        }
+    }
+    (
+        String::from_utf8(added).unwrap(),
+        String::from_utf8(removed).unwrap(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// With repeated people, in any order, `/delta` lists exactly the
+    /// people — and the occurrences, in the same order — that the
+    /// reference multiset diff does, byte for byte.
+    #[test]
+    fn delta_matches_the_reference_multiset_diff(
+        base in proptest::collection::vec((0u8..5, 0u8..4), 0..14),
+        cur in proptest::collection::vec((0u8..5, 0u8..4), 0..14),
+    ) {
+        let base: Vec<FusedPerson> = base.into_iter().map(pooled).collect();
+        let cur: Vec<FusedPerson> = cur.into_iter().map(pooled).collect();
+        let mut core = ServeCore::new(ServeConfig::default(), ServeMetrics::default());
+        for (seq, people) in [(1u64, &base), (2, &cur)] {
+            core.on_publish(seq, Arc::new(CampusSnapshot {
+                at_ms: seq as f64 * 1000.0,
+                people: people.clone(),
+                ..CampusSnapshot::default()
+            }));
+        }
+        let mut conn = Connection::new();
+        core.on_bytes(&mut conn, b"GET /delta?since=1 HTTP/1.1\r\n\r\n");
+        let resp = String::from_utf8(conn.out.clone()).unwrap();
+        let (added, removed) = reference_delta(&base, &cur);
+        let expect = format!(
+            "{{\"since\":1,\"seq\":2,\"reset\":false,\"added\":[{added}],\"removed\":[{removed}]}}"
+        );
+        prop_assert!(resp.ends_with(&expect), "{}\nwant {}", resp, expect);
     }
 }

@@ -9,7 +9,7 @@
 //! fusion pipeline that produces bit-identical snapshots whether or
 //! not a server and a client swarm are attached to its cell.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -405,4 +405,103 @@ fn example_wiring_serves_an_aggregators_campus() {
     client.close();
     aggregator.stop();
     reactor.join();
+}
+
+/// Resident set size of this process, bytes (Linux only).
+fn rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// A client that pipelines 50k full reads without reading a single
+/// answer costs the server a bounded amount of memory: once a
+/// connection's unflushed output passes `serve::OUT_HIGH_WATER`, the
+/// pump stops reading it and stops answering what it buffered. When
+/// the client finally drains, every read is answered, in order (every
+/// thousandth request is a `/zone/{k},0` marker whose answer names
+/// `k`).
+#[test]
+fn pipelined_reads_without_reading_answers_stay_bounded() {
+    const READS: usize = 50_000;
+    let cell = Arc::new(SnapshotCell::new());
+    let people = (0..40u32)
+        .map(|i| person(f64::from(i) * 2.0, &[i, i + 1]))
+        .collect();
+    cell.publish(snap(1000.0, people));
+    let server = spawn_on(Arc::clone(&cell), cfg());
+    let mut requests = Vec::new();
+    for i in 0..READS {
+        if i % 1000 == 999 {
+            write!(requests, "GET /zone/{},0 HTTP/1.1\r\n\r\n", i / 1000).unwrap();
+        } else {
+            requests.extend_from_slice(b"GET /snapshot HTTP/1.1\r\n\r\n");
+        }
+    }
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clone stream");
+    let rss_before = rss_bytes();
+    let sender = std::thread::spawn(move || writer.write_all(&requests));
+
+    // Let the server answer everything it is willing to: wait until
+    // its output counter stops moving.
+    let bytes_out = || server.telemetry().counter("serve.bytes_out");
+    let mut last = bytes_out();
+    for _ in 0..100 {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = bytes_out();
+        if now == last && now > 0 {
+            break;
+        }
+        last = now;
+    }
+    let answered = bytes_out();
+    // Every answer is a few KiB, so answering all of them would be
+    // ~200 MiB. What may be rendered before the pump stops reading is
+    // what the kernel's socket buffers hold plus the high-water mark.
+    assert!(
+        answered < 32 << 20,
+        "the server rendered {answered} bytes for a client that reads nothing"
+    );
+    if let (Some(before), Some(after)) = (rss_before, rss_bytes()) {
+        assert!(
+            after.saturating_sub(before) < 64 << 20,
+            "resident memory grew {} bytes",
+            after.saturating_sub(before)
+        );
+    }
+
+    // Drain: every read answers, in request order.
+    let mut reader = std::io::BufReader::new(stream);
+    let mut line = String::new();
+    let mut body = Vec::new();
+    for i in 0..READS {
+        let mut len = None;
+        loop {
+            line.clear();
+            reader.read_line(&mut line).expect("response head");
+            if line == "\r\n" {
+                break;
+            }
+            if let Some(v) = line.strip_prefix("Content-Length: ") {
+                len = v.trim().parse::<usize>().ok();
+            }
+        }
+        body.resize(len.expect("content length"), 0);
+        reader.read_exact(&mut body).expect("response body");
+        if i % 1000 == 999 {
+            let marker = format!("\"zone_x\":{},", i / 1000);
+            assert!(
+                body.windows(marker.len()).any(|w| w == marker.as_bytes()),
+                "answer {i} out of order"
+            );
+        } else {
+            assert!(body.starts_with(b"{\"seq\":1,\"campus\":"), "answer {i}");
+        }
+    }
+    sender.join().unwrap().expect("send every request");
 }
